@@ -15,7 +15,7 @@
 //! * [`align`] — seed lookup, candidate voting by diagonal, and ungapped
 //!   extension/verification producing [`align::Alignment`] records (our
 //!   simulated reads contain substitutions but no indels, so ungapped
-//!   verification loses nothing; see DESIGN.md);
+//!   verification loses nothing);
 //! * [`localize`] — the read-localisation optimisation of §II-I: after the
 //!   first round of alignments, read pairs are reassigned to the rank
 //!   `contig mod P` of the contig they aligned to, so subsequent alignment

@@ -4,7 +4,7 @@
 //! distributed hash tables, de Bruijn graph, aligner, scaffolder), the
 //! *assembly strategy* that drives the corresponding tool's position in the
 //! paper's comparison. None of them is a line-for-line port of the original
-//! C/C++ code bases; DESIGN.md documents the correspondence:
+//! C/C++ code bases; each is the MetaHipMer pipeline reconfigured as follows:
 //!
 //! * [`HipMerLike`] — the authors' single-genome assembler: one k value, a
 //!   global extension threshold, no metagenome-specific graph cleaning. On an
@@ -17,11 +17,13 @@
 //!   (including long bubbles) and scaffolding; best contiguity, slightly more
 //!   misassemblies, single-node orientation (it is always run with the full
 //!   input on every rank of a single team).
-//! * [`RayMetaLike`] — distributed single-k assembly whose k-mer exchange is
-//!   deliberately **unaggregated** (one message per k-mer, as Ray's original
-//!   fine-grained messaging behaves), no scaffolding: quality close to the
-//!   others on abundant organisms but poor parallel efficiency — the §IV-C
-//!   comparison.
+//! * [`RayMetaLike`] — distributed single-k assembly, no scaffolding, on the
+//!   pipeline's fine-grained communication paths: per-k-mer routing in k-mer
+//!   analysis (every k-mer shipped individually, for Bloom admission and
+//!   again for counting), the per-hop traversal walker (one remote lookup
+//!   per k-mer per walk) and unbatched remote lookups in every later stage.
+//!   Its output is the same as on the aggregated paths; only the
+//!   communication volume differs — the §IV-C comparison.
 
 use dbg::{BubbleParams, ThresholdPolicy};
 use mhm_core::{AssemblyConfig, AssemblyOutput, MetaHipMer};
@@ -155,8 +157,9 @@ impl Assembler for MetaSpadesLike {
     }
 }
 
-/// Ray Meta: distributed single-k assembly with unaggregated fine-grained
-/// communication and no scaffolding.
+/// Ray Meta: distributed single-k assembly with fine-grained communication
+/// (per-k-mer analysis, per-hop traversal, lookup batch 1) and no
+/// scaffolding.
 #[derive(Debug, Clone, Default)]
 pub struct RayMetaLike {
     pub config: AssemblyConfig,
@@ -173,22 +176,20 @@ impl Assembler for RayMetaLike {
         library: &ReadLibrary,
         _rrna_consensus: Option<&[u8]>,
     ) -> AssemblyOutput {
-        let mut cfg = self.config.clone();
+        let mut cfg = self.config.clone().with_lookup_batch(1);
         cfg.k_min = cfg.k_max;
         cfg.threshold = ThresholdPolicy::Global { thq: 1 };
         cfg.scaffolding = false;
         cfg.local_assembly = false;
         cfg.read_localization = false;
         cfg.pruning = true;
-        // Ray's communication is fine grained: model it by running the k-mer
-        // exchange and seed lookups without the benefit of software caching.
+        // Ray's communication is fine grained: route k-mers individually,
+        // walk the graph one remote hop at a time, and look up seeds without
+        // batching or software caching.
+        cfg.use_supermers = false;
+        cfg.use_segment_traversal = false;
         cfg.align.cache_capacity = 0;
-        let out = MetaHipMer::new(cfg).assemble(team, library, None);
-        // Ray performs additional per-message synchronisation; emulate the
-        // latency cost so that scaling comparisons reflect its unaggregated
-        // messaging (documented in DESIGN.md). The slowdown is proportional to
-        // the number of aggregated messages MetaHipMer *would* have sent.
-        out
+        MetaHipMer::new(cfg).assemble(team, library, None)
     }
 }
 
@@ -302,6 +303,21 @@ mod tests {
                 report.genome_fraction
             );
         }
+    }
+
+    #[test]
+    fn ray_meta_like_runs_the_fine_grained_paths() {
+        let (_refs, library, consensus) = skewed_dataset();
+        let team = Team::single_node(2);
+        let out = RayMetaLike {
+            config: AssemblyConfig::small_test(),
+        }
+        .assemble(&team, &library, Some(&consensus));
+        assert!(!out.scaffolds.is_empty());
+        // No supermer bytes: k-mer analysis took the per-k-mer path.
+        assert_eq!(out.stage_stats("kmer_analysis").supermer_bytes, 0);
+        // No stitch rounds: contigs came from the per-hop walker.
+        assert_eq!(out.stage_stats("graph_traversal").traversal_rounds, 0);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Criterion micro-benchmarks of the distributed substrates: the four
 //! hash-table phases, k-mer analysis, the extraction hot loops (rolling
 //! minimizer, supermer grouping), both graph-traversal implementations,
-//! alignment and the Bloom/heavy-hitter structures. `cargo bench -p
-//! mhm_bench` runs them all.
+//! alignment and the Bloom filter. `cargo bench -p mhm_bench` runs them all.
 
 use aligner::{align_reads, build_seed_index, AlignParams};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
@@ -10,7 +9,7 @@ use dbg::{
     build_graph, kmer_analysis, traverse_contigs, KmerAnalysisParams, ThresholdPolicy,
     TraversalParams,
 };
-use dht::{bulk_merge, DistBloom, DistMap, SpaceSaving};
+use dht::{bulk_merge, DistBloom, DistMap};
 use kmers::{kmer_minimizer, Kmer, SupermerIter};
 use mgsim::{CommunityParams, ReadSimParams};
 use pgas::Team;
@@ -79,15 +78,6 @@ fn bench_dht_phases(c: &mut Criterion) {
                     bloom.insert_and_check(ctx, &(i ^ (ctx.rank() as u64) << 32));
                 }
             })
-        })
-    });
-    c.bench_function("dht/space_saving_100k", |b| {
-        b.iter(|| {
-            let mut ss = SpaceSaving::new(64);
-            for i in 0..100_000u64 {
-                ss.offer(i % 1_000, 1);
-            }
-            ss.heavy_hitters(50)
         })
     });
 }

@@ -6,8 +6,8 @@
 //! supermer path decomposes each read once into maximal same-minimizer runs
 //! and ships them as packed 2-bit sequence with a quality sidecar
 //! (~(s+k−1)/4 bytes per s k-mers) to minimizer-owned shards, where Bloom
-//! admission, counting and heavy-hitter sketching all happen on the receive
-//! side of a single exchange.
+//! admission and counting both happen on the receive side of a single
+//! exchange.
 //!
 //! This harness runs the same assembly twice — supermer routing off and on —
 //! and compares the *k-mer-analysis wire bytes* of the two runs. It exits

@@ -1,12 +1,12 @@
 //! Shared experiment-harness utilities.
 //!
 //! Every table and figure of the paper's evaluation section has a matching
-//! binary in `src/bin/` (see DESIGN.md §3 for the index); this library holds
-//! the pieces they share: dataset construction, timed assembly runs over a
-//! sweep of rank counts, and table formatting. Absolute numbers differ from
-//! the paper (laptop-scale simulated data instead of Cori + SRA datasets); the
-//! harnesses reproduce the *shape* of each result, and EXPERIMENTS.md records
-//! the comparison.
+//! binary in `src/bin/`, named after it (`table1_quality`,
+//! `fig4_strong_scaling`, ...); this library holds the pieces they share:
+//! dataset construction, timed assembly runs over a sweep of rank counts, and
+//! table formatting. Absolute numbers differ from the paper (laptop-scale
+//! simulated data instead of Cori + SRA datasets); the harnesses reproduce
+//! the *shape* of each result.
 
 use asm_metrics::{evaluate, AssemblyReport, EvalParams};
 use baselines::Assembler;

@@ -3,7 +3,7 @@
 //! Every rank processes its slice of the reads, extracts canonical k-mers with
 //! their left/right extension observations, and routes them to owner ranks
 //! with aggregated messages. Owners count in their local shard of a
-//! distributed hash table. Three refinements from the paper are reproduced:
+//! distributed hash table. Two refinements from the paper are reproduced:
 //!
 //! * **supermer routing** (the default): instead of shipping every canonical
 //!   k-mer as a ~32-byte packed struct — twice, once for the Bloom pass and
@@ -12,9 +12,8 @@
 //!   [`kmers::minimizer`]) which travel as packed 2-bit sequence with a
 //!   quality/extension sidecar, ~(s+k−1)/4 bytes per s k-mers. The counts
 //!   table is partitioned by minimizer ([`MinimizerPartitioner`]), so every
-//!   occurrence of a k-mer arrives at its owner and Bloom admission, exact
-//!   counting and heavy-hitter sketching all happen on the receive side of a
-//!   *single* exchange;
+//!   occurrence of a k-mer arrives at its owner and Bloom admission and exact
+//!   counting both happen on the receive side of a *single* exchange;
 //! * **Bloom-filter admission** admits a k-mer into the final counting table
 //!   only once it has (probably) been seen at least twice, so singleton error
 //!   k-mers never survive into the table downstream stages consume. (Unlike
@@ -24,12 +23,11 @@
 //!   occurrence arrives — so admission here shapes the communication and the
 //!   result, not the peak memory.) The filter is sized from an all-reduced
 //!   global k-mer estimate so shards stay correctly provisioned however
-//!   unevenly the reads are distributed;
-//! * a **streaming heavy-hitter sketch** identifies k-mers with enormous
-//!   counts (ubiquitous in metagenomes because of highly abundant organisms)
-//!   so callers can inspect/treat them specially; the counting itself remains
-//!   exact. Per-rank sketches are combined with a deterministic binomial-tree
-//!   reduction rather than funnelling every sketch to rank 0.
+//!   unevenly the reads are distributed.
+//!
+//! HipMer's heavy-hitter detection is not reproduced: counting is exact and
+//! the table is partitioned by minimizer, so no stage needs hot k-mers
+//! spread across owners.
 //!
 //! Setting [`KmerAnalysisParams::use_supermers`] to `false` selects the
 //! legacy per-k-mer path (hash partitioning, separate Bloom round trip,
@@ -40,7 +38,7 @@
 //! singletons depends on Bloom false positives, which differ between the two
 //! partitionings.)
 
-use dht::{DistBloom, DistMap, FxHashMap, Partitioner, SpaceSaving};
+use dht::{DistBloom, DistMap, FxHashMap, Partitioner};
 use kmers::minimizer::{
     encode_supermer, expand_supermer, kmer_minimizer, minimizer_shard, SupermerBlobIter,
     SupermerIter, MAX_MINIMIZER_LEN,
@@ -98,8 +96,6 @@ pub struct KmerAnalysisParams {
     /// Whether to run the Bloom-filter admission (as a separate pre-pass in
     /// the per-k-mer path, folded into the receive side in the supermer path).
     pub use_bloom: bool,
-    /// Capacity of the per-rank heavy-hitter sketch (0 disables it).
-    pub heavy_hitter_capacity: usize,
     /// Aggregation batch size for the all-to-all exchanges (items for the
     /// per-k-mer path; multiplied by the packed k-mer size to obtain the
     /// supermer path's byte batch).
@@ -119,7 +115,6 @@ impl Default for KmerAnalysisParams {
             min_count: 2,
             hq_threshold: 20,
             use_bloom: true,
-            heavy_hitter_capacity: 64,
             batch: 4096,
             use_supermers: true,
             minimizer_len: 15,
@@ -139,9 +134,6 @@ impl KmerAnalysisParams {
 pub struct KmerAnalysis {
     /// Distributed table of canonical k-mers that passed the ε filter.
     pub counts: KmerCountsMap,
-    /// Heavy hitters detected by the streaming sketch, with estimated counts
-    /// (same list on every rank).
-    pub heavy_hitters: Vec<(Kmer, u64)>,
 }
 
 /// Runs k-mer analysis over this rank's slice of the reads. Collective: every
@@ -191,7 +183,7 @@ fn shared_bloom(ctx: &Ctx, local_estimate: usize) -> Arc<DistBloom> {
 
 /// The supermer-routed single-pass analysis: one extraction pass per read,
 /// one aggregated shipment per owner, and all per-k-mer work (Bloom
-/// admission, exact counting, heavy-hitter sketching) on the receive side.
+/// admission and exact counting) on the receive side.
 fn supermer_analysis(
     ctx: &Ctx,
     source: &mut dyn ReadSource,
@@ -225,9 +217,7 @@ fn supermer_analysis(
     });
     let blobs = agg.finish();
 
-    // --- Receive side: expansion, admission, counting, sketching ------------
-    let mut sketch = (params.heavy_hitter_capacity > 0)
-        .then(|| SpaceSaving::<Kmer>::new(params.heavy_hitter_capacity));
+    // --- Receive side: expansion, admission, counting ----------------------
     // First sightings not yet admitted by the Bloom filter are parked here;
     // they join the table when (if) a second occurrence arrives, so admitted
     // k-mers keep their exact count including the first observation.
@@ -240,9 +230,6 @@ fn supermer_analysis(
         for record in SupermerBlobIter::new(blob) {
             expand_supermer(&record, k, |obs| {
                 debug_assert_eq!(counts.owner_of(&obs.kmer), rank, "misrouted supermer");
-                if let Some(s) = sketch.as_mut() {
-                    s.offer(obs.kmer, 1);
-                }
                 let mut c = KmerCounts::default();
                 c.observe(obs.exts);
                 match &bloom {
@@ -269,24 +256,16 @@ fn supermer_analysis(
     drop(parked);
     ctx.barrier();
 
-    let heavy_hitters = match sketch {
-        Some(s) => merge_heavy_hitters(ctx, s, params),
-        None => Vec::new(),
-    };
-
     counts.retain_local(ctx, |_, v| v.count >= params.min_count);
     ctx.barrier();
 
-    KmerAnalysis {
-        counts,
-        heavy_hitters,
-    }
+    KmerAnalysis { counts }
 }
 
-/// The legacy per-k-mer analysis: a Bloom admission exchange, a heavy-hitter
-/// pass and a counting exchange, each re-extracting the reads. Kept (behind
+/// The legacy per-k-mer analysis: a Bloom admission exchange and a counting
+/// exchange, each re-extracting the reads. Kept (behind
 /// `use_supermers = false`) as the measurable baseline of the supermer
-/// ablation.
+/// ablation and as the fine-grained path of `baselines::RayMetaLike`.
 fn per_kmer_analysis(
     ctx: &Ctx,
     source: &mut dyn ReadSource,
@@ -318,19 +297,6 @@ fn per_kmer_analysis(
         None
     };
 
-    // --- Heavy-hitter sketch over the local stream ---------------------------
-    let heavy_hitters = if params.heavy_hitter_capacity > 0 {
-        let mut sketch: SpaceSaving<Kmer> = SpaceSaving::new(params.heavy_hitter_capacity);
-        source.for_each_read(&mut |read| {
-            for obs in kmers_with_exts_iter(&read.seq, &read.qual, params.k, params.hq_threshold) {
-                sketch.offer(obs.kmer, 1);
-            }
-        });
-        merge_heavy_hitters(ctx, sketch, params)
-    } else {
-        Vec::new()
-    };
-
     // --- Pass 2: exact counting with extensions ------------------------------
     // `dht::bulk_merge` inlined around the streaming source (the callback
     // contract cannot hand it a by-value iterator without buffering reads).
@@ -356,50 +322,7 @@ fn per_kmer_analysis(
     counts.retain_local(ctx, |_, v| v.count >= params.min_count);
     ctx.barrier();
 
-    KmerAnalysis {
-        counts,
-        heavy_hitters,
-    }
-}
-
-/// Combines the per-rank sketches with a deterministic binomial-tree
-/// reduction — round `2^i` merges rank `q·2^(i+1) + 2^i` into rank
-/// `q·2^(i+1)` — and broadcasts from rank 0 the heavy hitters whose
-/// estimated count is at least `min_count × 64` (a scale-free proxy for
-/// "orders of magnitude more frequent than the admission cutoff"). Each round
-/// every receiving rank merges at most one sketch, so no rank ever funnels
-/// all `P` sketches the way the old gather-on-rank-0 scheme did, and the
-/// merge order (hence the resulting list) is independent of thread timing.
-fn merge_heavy_hitters(
-    ctx: &Ctx,
-    sketch: SpaceSaving<Kmer>,
-    params: &KmerAnalysisParams,
-) -> Vec<(Kmer, u64)> {
-    let mut acc = sketch;
-    let mut stride = 1usize;
-    while stride < ctx.ranks() {
-        let mut outgoing: Vec<Vec<SpaceSaving<Kmer>>> = vec![Vec::new(); ctx.ranks()];
-        let rank = ctx.rank();
-        if rank % (2 * stride) == stride {
-            // This rank's subtree is fully merged; hand it to the parent.
-            let done = std::mem::replace(&mut acc, SpaceSaving::new(1));
-            outgoing[rank - stride] = vec![done];
-        }
-        for other in ctx.exchange(outgoing) {
-            acc.merge(&other);
-        }
-        stride *= 2;
-    }
-    let merged: Vec<(Kmer, u64)> = if ctx.rank() == 0 {
-        let mut hh = acc.heavy_hitters(params.min_count as u64 * 64);
-        // `heavy_hitters` sorts by estimate only; break ties by key so the
-        // list is a pure function of the merged sketch.
-        hh.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        hh
-    } else {
-        Vec::new()
-    };
-    ctx.broadcast(|| merged)
+    KmerAnalysis { counts }
 }
 
 #[cfg(test)]
@@ -549,42 +472,6 @@ mod tests {
     }
 
     #[test]
-    fn heavy_hitters_surface_dominant_kmer() {
-        // A single k-mer repeated a huge number of times (a homopolymer run)
-        // among diverse reads.
-        let mut seqs: Vec<String> = vec!["A".repeat(40); 50];
-        seqs.push("ACGGTCAGGTTCAAGGACT".to_string());
-        let reads: Vec<Read> = seqs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| Read::with_uniform_quality(format!("r{i}"), s.as_bytes(), 35))
-            .collect();
-        let team = Team::single_node(2);
-        for params in both_modes(KmerAnalysisParams {
-            k: 15,
-            min_count: 2,
-            use_bloom: false,
-            heavy_hitter_capacity: 8,
-            ..Default::default()
-        }) {
-            let reads = &reads;
-            let params = &params;
-            let hh = team.run(move |ctx| {
-                let res = kmer_analysis(ctx, my_slice(ctx, reads), params);
-                ctx.barrier();
-                res.heavy_hitters
-            });
-            let poly_a: Kmer = "AAAAAAAAAAAAAAA".parse().unwrap();
-            for rank_hh in &hh {
-                assert!(
-                    rank_hh.iter().any(|(k, _)| *k == poly_a),
-                    "poly-A heavy hitter not reported: {rank_hh:?}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn supermer_and_per_kmer_tables_are_identical_with_bloom() {
         // Bloom on, ε = 2: admission is deterministic for every surviving
         // k-mer, so the two routing modes must agree exactly — including
@@ -622,50 +509,6 @@ mod tests {
         let per_kmer = collect(false);
         assert!(!supermer.is_empty());
         assert_eq!(supermer, per_kmer);
-    }
-
-    #[test]
-    fn heavy_hitter_list_is_rank_count_invariant() {
-        // Capacity comfortably above the distinct-k-mer count keeps every
-        // per-rank sketch exact, so the tree reduction must give the same
-        // list on 1–8 ranks, in both routing modes.
-        let mut seqs = vec!["ACGGTCAGGTTCAAGGACTTACGGTACCAGT".to_string(); 6];
-        seqs.extend(vec!["TTTTTTTTTTTTTTTTTTTTTTTTT".to_string(); 9]);
-        let reads: Vec<Read> = seqs
-            .iter()
-            .enumerate()
-            .map(|(i, s)| Read::with_uniform_quality(format!("r{i}"), s.as_bytes(), 35))
-            .collect();
-        for use_supermers in [true, false] {
-            let mut lists: Vec<Vec<(Kmer, u64)>> = Vec::new();
-            for ranks in 1..=8usize {
-                let team = Team::single_node(ranks);
-                let reads = &reads;
-                let hh = team.run(move |ctx| {
-                    let params = KmerAnalysisParams {
-                        k: 15,
-                        min_count: 1,
-                        use_bloom: false,
-                        heavy_hitter_capacity: 256,
-                        use_supermers,
-                        ..Default::default()
-                    };
-                    let res = kmer_analysis(ctx, my_slice(ctx, reads), &params);
-                    ctx.barrier();
-                    res.heavy_hitters
-                });
-                // Identical on every rank…
-                for rank_hh in &hh[1..] {
-                    assert_eq!(rank_hh, &hh[0]);
-                }
-                assert!(!hh[0].is_empty(), "expected at least the poly-T hitter");
-                lists.push(hh.into_iter().next().unwrap());
-            }
-            // …and identical across rank counts.
-            for list in &lists[1..] {
-                assert_eq!(list, &lists[0], "use_supermers={use_supermers}");
-            }
-        }
     }
 
     #[test]

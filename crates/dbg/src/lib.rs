@@ -5,8 +5,7 @@
 //!
 //! 1. [`analysis`] — **k-mer analysis** with distributed histograms, a
 //!    distributed Bloom filter to keep singleton (mostly erroneous) k-mers out
-//!    of the tables, streaming heavy-hitter detection and high-quality
-//!    extension counting (§II-B);
+//!    of the tables and high-quality extension counting (§II-B);
 //! 2. [`graph`] — construction of the **distributed de Bruijn graph** hash
 //!    table, reducing extension counts to `[ACGT]/F/X` codes under either the
 //!    HipMer global threshold or the MetaHipMer depth-dependent threshold

@@ -83,7 +83,6 @@ fn supermer_routing_matches_per_kmer_baseline_on_randomised_reads() {
             min_count,
             use_bloom,
             minimizer_len: m,
-            heavy_hitter_capacity: 16,
             batch: *[1usize, 7, 4096].get(rng.gen_range(0..3)).unwrap(),
             ..Default::default()
         };

@@ -27,16 +27,13 @@
 //! working unchanged through [`DistMap::owner_of`].
 //!
 //! plus the auxiliary distributed structures the pipeline needs: a partitioned
-//! Bloom filter ([`DistBloom`]), a distributed counting histogram
-//! ([`DistHistogram`]) and a streaming heavy-hitter sketch
-//! ([`SpaceSaving`]) used by k-mer analysis to survive the extremely skewed
-//! k-mer frequency distributions of metagenomes.
+//! Bloom filter ([`DistBloom`]) and a distributed counting histogram
+//! ([`DistHistogram`]).
 
 pub mod bloom;
 pub mod cache;
 pub mod dist_map;
 pub mod fxhash;
-pub mod heavy;
 pub mod histogram;
 pub mod partition;
 
@@ -44,6 +41,5 @@ pub use bloom::DistBloom;
 pub use cache::{CachedView, SoftwareCache};
 pub use dist_map::{bulk_merge, DistMap, LocalShardView};
 pub use fxhash::{fx_hash_one, FxHashMap, FxHashSet, FxHasher};
-pub use heavy::SpaceSaving;
 pub use histogram::DistHistogram;
 pub use partition::{HashPartitioner, Partitioner, TablePartitioner};

@@ -6,8 +6,8 @@
 //! Illumina-like paired-end reads with the WGSim read simulator. This crate
 //! reimplements that tool (and the WGSim read model it wraps) and additionally
 //! uses it to stand in for the paper's real datasets (MG64, Twitchell
-//! Wetlands), which are terabyte-scale SRA downloads — see DESIGN.md for the
-//! substitution rationale.
+//! Wetlands), which are terabyte-scale SRA downloads (see [`presets`] for
+//! the simulated stand-ins).
 //!
 //! The simulator deliberately plants every genomic feature the MetaHipMer
 //! algorithms are designed around:

@@ -9,7 +9,7 @@
 //!
 //! Genome lengths and read counts are scaled down by roughly 10³–10⁴× compared
 //! to the real datasets so every experiment completes in seconds to minutes on
-//! one machine; EXPERIMENTS.md records the exact sizes used for each figure.
+//! one machine; each preset's parameters below give the exact sizes.
 
 use crate::community::{generate_community, CommunityParams};
 use crate::reads::{simulate_reads, ReadSimParams};

@@ -330,6 +330,15 @@ pub fn run_all(seed: u64, budget: Budget) -> Vec<ScenarioResult> {
 mod tests {
     use super::*;
 
+    /// `run_scenario` releases `SCENARIO_LOCK` before returning, so the
+    /// watchdog test's check that the shim ended disabled could see the
+    /// other test's next `enable`. Both tests hold this lock throughout.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn small_budget() -> Budget {
         Budget {
             max_perturbations: 200,
@@ -340,6 +349,7 @@ mod tests {
 
     #[test]
     fn every_scenario_passes_under_a_small_perturbation_budget() {
+        let _serial = serial();
         for seed in [1u64, 2] {
             for result in run_all(seed, small_budget()) {
                 assert!(
@@ -355,6 +365,7 @@ mod tests {
 
     #[test]
     fn watchdog_reports_a_hang_instead_of_blocking_forever() {
+        let _serial = serial();
         fn hangs(_seed: u64) -> Result<(), String> {
             std::thread::sleep(Duration::from_secs(3600));
             Ok(())

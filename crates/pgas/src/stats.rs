@@ -8,231 +8,139 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Atomic per-rank counters. Padded to a cache line to avoid false sharing
-/// between ranks that update their own counters concurrently.
-#[derive(Debug, Default)]
-#[repr(align(128))]
-pub struct CommStats {
+/// Declares every counter once: the table below generates the atomic
+/// [`CommStats`] fields, their plain-value [`StatsSnapshot`] twins, and the
+/// per-counter methods (`reset`, `snapshot`, `add`, `delta_from`, `map`),
+/// all in table order.
+macro_rules! comm_counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Atomic per-rank counters. Padded to a cache line to avoid false
+        /// sharing between ranks that update their own counters concurrently.
+        #[derive(Debug, Default)]
+        #[repr(align(128))]
+        pub struct CommStats {
+            $($(#[$doc])* pub $name: AtomicU64,)*
+        }
+
+        impl CommStats {
+            /// Resets every counter to zero.
+            pub fn reset(&self) {
+                $(self.$name.store(0, Ordering::Relaxed);)*
+            }
+
+            /// Takes a plain-value snapshot of the counters.
+            pub fn snapshot(&self) -> StatsSnapshot {
+                StatsSnapshot {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                }
+            }
+        }
+
+        /// A plain-value copy of [`CommStats`], summable across ranks.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct StatsSnapshot {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl StatsSnapshot {
+            /// Element-wise sum of two snapshots. Summing the per-rank
+            /// running-max `*_resident` peaks gives the team-wide resident
+            /// total (each rank's peak is its own shard + cache).
+            pub fn add(&self, other: &StatsSnapshot) -> StatsSnapshot {
+                StatsSnapshot {
+                    $($name: self.$name + other.$name,)*
+                }
+            }
+
+            /// Difference (`self - other`), saturating at zero; used to
+            /// measure a phase by snapshotting before and after. A running-max
+            /// `*_resident` gauge only grows between resets, so its delta is
+            /// how much the peak rose during the phase.
+            pub fn delta_from(&self, before: &StatsSnapshot) -> StatsSnapshot {
+                StatsSnapshot {
+                    $($name: self.$name.saturating_sub(before.$name),)*
+                }
+            }
+
+            /// Applies `f` to every counter, one call per counter in
+            /// declaration order (so a collective `f` issues the same
+            /// sequence on every rank).
+            pub fn map(&self, mut f: impl FnMut(u64) -> u64) -> StatsSnapshot {
+                StatsSnapshot {
+                    $($name: f(self.$name),)*
+                }
+            }
+        }
+    };
+}
+
+comm_counters! {
     /// Aggregated messages sent (one per flushed batch).
-    pub msgs_sent: AtomicU64,
+    msgs_sent,
     /// Payload bytes across all sent messages.
-    pub bytes_sent: AtomicU64,
+    bytes_sent,
     /// Payload bytes of messages whose destination rank shares the sender's
     /// simulated node (shared-memory transfers; a subset of `bytes_sent`).
-    pub on_node_bytes: AtomicU64,
+    on_node_bytes,
     /// Payload bytes of messages that crossed a node boundary (interconnect
     /// transfers; `on_node_bytes + off_node_bytes == bytes_sent`).
-    pub off_node_bytes: AtomicU64,
+    off_node_bytes,
     /// Aggregated messages whose destination shares the sender's node
     /// (`on_node_msgs + off_node_msgs == msgs_sent`).
-    pub on_node_msgs: AtomicU64,
+    on_node_msgs,
     /// Aggregated messages that crossed a node boundary — the interconnect
     /// injection count the two-level exchange reduces.
-    pub off_node_msgs: AtomicU64,
+    off_node_msgs,
     /// Fine-grained operations that targeted data owned by a rank on another
     /// simulated node.
-    pub remote_ops: AtomicU64,
+    remote_ops,
     /// Fine-grained operations that stayed within the simulated node.
-    pub local_ops: AtomicU64,
+    local_ops,
     /// Global atomic operations (compare-and-swap, fetch-add on shared state).
-    pub atomic_ops: AtomicU64,
+    atomic_ops,
     /// Software-cache hits (read-only phase of the distributed hash tables).
-    pub cache_hits: AtomicU64,
+    cache_hits,
     /// Software-cache misses.
-    pub cache_misses: AtomicU64,
+    cache_misses,
     /// Work blocks obtained through the dynamic work-stealing counter beyond
     /// the rank's initial block.
-    pub steals: AtomicU64,
+    steals,
     /// Completed aggregated request–response round trips (batched lookups).
-    pub rpc_round_trips: AtomicU64,
+    rpc_round_trips,
     /// Payload bytes of the response legs of aggregated request–response
     /// exchanges (a subset of `bytes_sent`, recorded on the serving rank).
-    pub rpc_resp_bytes: AtomicU64,
+    rpc_resp_bytes,
     /// Software-cache evictions (entries displaced by the capacity bound).
-    pub cache_evictions: AtomicU64,
+    cache_evictions,
     /// Payload bytes of packed supermer records shipped by supermer-routed
     /// k-mer analysis (a subset of `bytes_sent`, recorded on the sender).
-    pub supermer_bytes: AtomicU64,
+    supermer_bytes,
     /// Collective endpoint-exchange rounds performed by the segment-stitching
     /// contig traversal (pred resolution + pointer-jumping + assembly).
     /// Recorded on rank 0 only, so a summed snapshot reads as "rounds".
-    pub traversal_rounds: AtomicU64,
+    traversal_rounds,
     /// Payload bytes of segment-stitching exchanges during traversal (a
     /// subset of `bytes_sent`, recorded on the sender).
-    pub stitch_bytes: AtomicU64,
+    stitch_bytes,
     /// Peak contig bytes resident on this rank: the owned shard of the
     /// distributed contig store plus the rank's reader cache (packed bytes),
     /// or the full replicated `ContigSet` (raw bytes) when the distributed
     /// store is disabled. Updated with a running max, not a sum.
-    pub contig_bytes_resident: AtomicU64,
+    contig_bytes_resident,
     /// Packed contig bytes fetched from remote shards of the distributed
     /// contig store (cache-miss fills; a measure of contig read traffic).
-    pub contig_fetch_bytes: AtomicU64,
+    contig_fetch_bytes,
     /// Peak read bytes resident on this rank: the owned shard of the
     /// distributed read store plus the rank's reader cache (packed bytes), or
     /// the full replicated `ReadLibrary` (raw seq+qual bytes) when the
     /// distributed store is disabled. Updated with a running max, not a sum.
-    pub read_bytes_resident: AtomicU64,
+    read_bytes_resident,
     /// Packed read-block bytes fetched from remote shards of the distributed
     /// read store (cache-miss fills; a measure of read fetch traffic).
-    pub read_fetch_bytes: AtomicU64,
-}
-
-impl CommStats {
-    /// Resets every counter to zero.
-    pub fn reset(&self) {
-        self.msgs_sent.store(0, Ordering::Relaxed);
-        self.bytes_sent.store(0, Ordering::Relaxed);
-        self.on_node_bytes.store(0, Ordering::Relaxed);
-        self.off_node_bytes.store(0, Ordering::Relaxed);
-        self.on_node_msgs.store(0, Ordering::Relaxed);
-        self.off_node_msgs.store(0, Ordering::Relaxed);
-        self.remote_ops.store(0, Ordering::Relaxed);
-        self.local_ops.store(0, Ordering::Relaxed);
-        self.atomic_ops.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.cache_misses.store(0, Ordering::Relaxed);
-        self.steals.store(0, Ordering::Relaxed);
-        self.rpc_round_trips.store(0, Ordering::Relaxed);
-        self.rpc_resp_bytes.store(0, Ordering::Relaxed);
-        self.cache_evictions.store(0, Ordering::Relaxed);
-        self.supermer_bytes.store(0, Ordering::Relaxed);
-        self.traversal_rounds.store(0, Ordering::Relaxed);
-        self.stitch_bytes.store(0, Ordering::Relaxed);
-        self.contig_bytes_resident.store(0, Ordering::Relaxed);
-        self.contig_fetch_bytes.store(0, Ordering::Relaxed);
-        self.read_bytes_resident.store(0, Ordering::Relaxed);
-        self.read_fetch_bytes.store(0, Ordering::Relaxed);
-    }
-
-    /// Takes a plain-value snapshot of the counters.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            msgs_sent: self.msgs_sent.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            on_node_bytes: self.on_node_bytes.load(Ordering::Relaxed),
-            off_node_bytes: self.off_node_bytes.load(Ordering::Relaxed),
-            on_node_msgs: self.on_node_msgs.load(Ordering::Relaxed),
-            off_node_msgs: self.off_node_msgs.load(Ordering::Relaxed),
-            remote_ops: self.remote_ops.load(Ordering::Relaxed),
-            local_ops: self.local_ops.load(Ordering::Relaxed),
-            atomic_ops: self.atomic_ops.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            steals: self.steals.load(Ordering::Relaxed),
-            rpc_round_trips: self.rpc_round_trips.load(Ordering::Relaxed),
-            rpc_resp_bytes: self.rpc_resp_bytes.load(Ordering::Relaxed),
-            cache_evictions: self.cache_evictions.load(Ordering::Relaxed),
-            supermer_bytes: self.supermer_bytes.load(Ordering::Relaxed),
-            traversal_rounds: self.traversal_rounds.load(Ordering::Relaxed),
-            stitch_bytes: self.stitch_bytes.load(Ordering::Relaxed),
-            contig_bytes_resident: self.contig_bytes_resident.load(Ordering::Relaxed),
-            contig_fetch_bytes: self.contig_fetch_bytes.load(Ordering::Relaxed),
-            read_bytes_resident: self.read_bytes_resident.load(Ordering::Relaxed),
-            read_fetch_bytes: self.read_fetch_bytes.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A plain-value copy of [`CommStats`], summable across ranks.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    pub msgs_sent: u64,
-    pub bytes_sent: u64,
-    pub on_node_bytes: u64,
-    pub off_node_bytes: u64,
-    pub on_node_msgs: u64,
-    pub off_node_msgs: u64,
-    pub remote_ops: u64,
-    pub local_ops: u64,
-    pub atomic_ops: u64,
-    pub cache_hits: u64,
-    pub cache_misses: u64,
-    pub steals: u64,
-    pub rpc_round_trips: u64,
-    pub rpc_resp_bytes: u64,
-    pub cache_evictions: u64,
-    pub supermer_bytes: u64,
-    pub traversal_rounds: u64,
-    pub stitch_bytes: u64,
-    pub contig_bytes_resident: u64,
-    pub contig_fetch_bytes: u64,
-    pub read_bytes_resident: u64,
-    pub read_fetch_bytes: u64,
+    read_fetch_bytes,
 }
 
 impl StatsSnapshot {
-    /// Element-wise sum of two snapshots.
-    pub fn add(&self, other: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            msgs_sent: self.msgs_sent + other.msgs_sent,
-            bytes_sent: self.bytes_sent + other.bytes_sent,
-            on_node_bytes: self.on_node_bytes + other.on_node_bytes,
-            off_node_bytes: self.off_node_bytes + other.off_node_bytes,
-            on_node_msgs: self.on_node_msgs + other.on_node_msgs,
-            off_node_msgs: self.off_node_msgs + other.off_node_msgs,
-            remote_ops: self.remote_ops + other.remote_ops,
-            local_ops: self.local_ops + other.local_ops,
-            atomic_ops: self.atomic_ops + other.atomic_ops,
-            cache_hits: self.cache_hits + other.cache_hits,
-            cache_misses: self.cache_misses + other.cache_misses,
-            steals: self.steals + other.steals,
-            rpc_round_trips: self.rpc_round_trips + other.rpc_round_trips,
-            rpc_resp_bytes: self.rpc_resp_bytes + other.rpc_resp_bytes,
-            cache_evictions: self.cache_evictions + other.cache_evictions,
-            supermer_bytes: self.supermer_bytes + other.supermer_bytes,
-            traversal_rounds: self.traversal_rounds + other.traversal_rounds,
-            stitch_bytes: self.stitch_bytes + other.stitch_bytes,
-            // Summing per-rank residency peaks gives the team-wide resident
-            // total (each rank's peak is its own shard + cache).
-            contig_bytes_resident: self.contig_bytes_resident + other.contig_bytes_resident,
-            contig_fetch_bytes: self.contig_fetch_bytes + other.contig_fetch_bytes,
-            read_bytes_resident: self.read_bytes_resident + other.read_bytes_resident,
-            read_fetch_bytes: self.read_fetch_bytes + other.read_fetch_bytes,
-        }
-    }
-
-    /// Difference (`self - other`), saturating at zero; used to measure a
-    /// phase by snapshotting before and after.
-    pub fn delta_from(&self, before: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            msgs_sent: self.msgs_sent.saturating_sub(before.msgs_sent),
-            bytes_sent: self.bytes_sent.saturating_sub(before.bytes_sent),
-            on_node_bytes: self.on_node_bytes.saturating_sub(before.on_node_bytes),
-            off_node_bytes: self.off_node_bytes.saturating_sub(before.off_node_bytes),
-            on_node_msgs: self.on_node_msgs.saturating_sub(before.on_node_msgs),
-            off_node_msgs: self.off_node_msgs.saturating_sub(before.off_node_msgs),
-            remote_ops: self.remote_ops.saturating_sub(before.remote_ops),
-            local_ops: self.local_ops.saturating_sub(before.local_ops),
-            atomic_ops: self.atomic_ops.saturating_sub(before.atomic_ops),
-            cache_hits: self.cache_hits.saturating_sub(before.cache_hits),
-            cache_misses: self.cache_misses.saturating_sub(before.cache_misses),
-            steals: self.steals.saturating_sub(before.steals),
-            rpc_round_trips: self.rpc_round_trips.saturating_sub(before.rpc_round_trips),
-            rpc_resp_bytes: self.rpc_resp_bytes.saturating_sub(before.rpc_resp_bytes),
-            cache_evictions: self.cache_evictions.saturating_sub(before.cache_evictions),
-            supermer_bytes: self.supermer_bytes.saturating_sub(before.supermer_bytes),
-            traversal_rounds: self
-                .traversal_rounds
-                .saturating_sub(before.traversal_rounds),
-            stitch_bytes: self.stitch_bytes.saturating_sub(before.stitch_bytes),
-            // A running-max gauge only grows between resets, so the delta is
-            // how much the peak rose during the phase.
-            contig_bytes_resident: self
-                .contig_bytes_resident
-                .saturating_sub(before.contig_bytes_resident),
-            contig_fetch_bytes: self
-                .contig_fetch_bytes
-                .saturating_sub(before.contig_fetch_bytes),
-            read_bytes_resident: self
-                .read_bytes_resident
-                .saturating_sub(before.read_bytes_resident),
-            read_fetch_bytes: self
-                .read_fetch_bytes
-                .saturating_sub(before.read_fetch_bytes),
-        }
-    }
-
     /// Total fine-grained (per-key) global accesses, local and remote. The
     /// quantity the lookup-aggregation ablation compares against `msgs_sent`.
     pub fn fine_grained_ops(&self) -> u64 {
@@ -305,35 +213,18 @@ mod tests {
 
     #[test]
     fn add_and_delta() {
-        let a = StatsSnapshot {
-            msgs_sent: 1,
-            bytes_sent: 10,
-            on_node_bytes: 4,
-            off_node_bytes: 6,
-            on_node_msgs: 1,
-            off_node_msgs: 0,
-            remote_ops: 2,
-            local_ops: 3,
-            atomic_ops: 4,
-            cache_hits: 5,
-            cache_misses: 6,
-            steals: 7,
-            rpc_round_trips: 8,
-            rpc_resp_bytes: 9,
-            cache_evictions: 10,
-            supermer_bytes: 11,
-            traversal_rounds: 12,
-            stitch_bytes: 13,
-            contig_bytes_resident: 14,
-            contig_fetch_bytes: 15,
-            read_bytes_resident: 16,
-            read_fetch_bytes: 17,
-        };
+        // Distinct non-zero values for every counter, straight from the table.
+        let mut next = 0;
+        let a = StatsSnapshot::default().map(|_| {
+            next += 1;
+            next
+        });
         let b = a.add(&a);
+        assert_eq!(b, a.map(|v| 2 * v));
         assert_eq!(b.msgs_sent, 2);
-        assert_eq!(b.steals, 14);
         let d = b.delta_from(&a);
         assert_eq!(d, a);
+        assert_eq!(a.delta_from(&b), StatsSnapshot::default());
     }
 
     #[test]

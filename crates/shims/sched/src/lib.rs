@@ -159,8 +159,17 @@ fn perturb(site: &str) {
 mod tests {
     use super::*;
 
+    /// Both tests toggle the process-global enable flag; the test harness
+    /// runs them on parallel threads, so each holds this lock throughout.
+    static SERIAL: Mutex<()> = Mutex::new(());
+
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn disabled_yield_points_are_free_and_fire_nothing() {
+        let _serial = serial();
         disable();
         for _ in 0..1_000 {
             yield_point("test::site");
@@ -170,6 +179,7 @@ mod tests {
 
     #[test]
     fn budget_bounds_the_number_of_perturbations() {
+        let _serial = serial();
         enable(Config {
             seed: 42,
             max_perturbations: 8,
