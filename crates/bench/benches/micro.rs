@@ -1,9 +1,10 @@
 //! Criterion micro-benchmarks of the distributed substrates: the four
 //! hash-table phases, k-mer analysis, the extraction hot loops (rolling
 //! minimizer, supermer grouping), both graph-traversal implementations,
-//! alignment and the Bloom filter. `cargo bench -p mhm_bench` runs them all.
+//! alignment, local assembly and the Bloom filter. `cargo bench -p mhm_bench`
+//! runs them all.
 
-use aligner::{align_reads, build_seed_index, AlignParams};
+use aligner::{align_reads, build_seed_index, AlignParams, Alignment, AlignmentSet};
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dbg::{
     build_graph, kmer_analysis, traverse_contigs, KmerAnalysisParams, ThresholdPolicy,
@@ -12,8 +13,10 @@ use dbg::{
 use dht::{bulk_merge, DistBloom, DistMap};
 use kmers::{kmer_minimizer, Kmer, SupermerIter};
 use mgsim::{CommunityParams, ReadSimParams};
+use mhm_core::{extend_contigs_locally, LocalAssemblyParams};
 use pgas::Team;
-use seqio::Read;
+use seqio::alphabet::revcomp;
+use seqio::{Read, ReadLibrary};
 use std::sync::Arc;
 
 fn dataset() -> (Vec<Read>, dbg::ContigSet) {
@@ -307,6 +310,89 @@ fn bench_pipeline_stages(c: &mut Criterion) {
     });
 }
 
+/// A tiled community for local assembly: the middle half of each genome is a
+/// contig, error-free 2x100 bp pairs (insert 300) start every 4 bp along the
+/// whole genome, and every read lying inside a contig is aligned to it, so
+/// both contig ends have a flank to walk into.
+fn tiled_flanks() -> (dbg::ContigSet, ReadLibrary, AlignmentSet) {
+    let (refs, _) = mgsim::generate_community(&CommunityParams {
+        num_taxa: 32,
+        genome_len_range: (4_000, 4_000),
+        seed: 13,
+        ..Default::default()
+    });
+    let (read_len, insert) = (100usize, 300usize);
+    let flank = |g: &[u8]| g.len() / 4..g.len() * 3 / 4;
+    let contigs = dbg::ContigSet::from_sequences(
+        31,
+        refs.genomes
+            .iter()
+            .map(|g| (g.seq[flank(&g.seq)].to_vec(), 10.0))
+            .collect(),
+    );
+    let mut lib = ReadLibrary::new_paired("tiled", insert, 30);
+    let mut alignments = AlignmentSet::default();
+    for g in &refs.genomes {
+        let g = &g.seq;
+        let span = flank(g);
+        let (contig, stored_forward) = contigs
+            .contigs
+            .iter()
+            .find_map(|c| {
+                if c.seq == g[span.clone()] {
+                    Some((c.id, true))
+                } else if c.seq == revcomp(&g[span.clone()]) {
+                    Some((c.id, false))
+                } else {
+                    None
+                }
+            })
+            .expect("every genome has its contig");
+        for i in (0..g.len() - insert).step_by(4) {
+            let pair = lib.num_pairs() as u64;
+            let mate2 = revcomp(&g[i + insert - read_len..i + insert]);
+            lib.push_pair(
+                Read::with_uniform_quality(format!("p{pair}/1"), &g[i..i + read_len], 35),
+                Read::with_uniform_quality(format!("p{pair}/2"), &mate2, 35),
+            );
+            for (mate, start, forward) in [(0, i, true), (1, i + insert - read_len, false)] {
+                if start < span.start || start + read_len > span.end {
+                    continue;
+                }
+                let offset = (start - span.start) as i64;
+                let (forward, contig_offset) = if stored_forward {
+                    (forward, offset)
+                } else {
+                    (!forward, span.len() as i64 - offset - read_len as i64)
+                };
+                alignments.alignments.push(Alignment {
+                    read_id: 2 * pair + mate,
+                    contig,
+                    forward,
+                    contig_offset,
+                    aligned_len: read_len,
+                    matches: read_len,
+                });
+            }
+        }
+    }
+    (contigs, lib, alignments)
+}
+
+fn bench_local_assembly(c: &mut Criterion) {
+    let (contigs, lib, alignments) = tiled_flanks();
+    let team = Team::single_node(1);
+    c.bench_function("local_assembly/extend_contigs_synthetic", |b| {
+        b.iter(|| {
+            team.run(|ctx| {
+                let params = LocalAssemblyParams::default();
+                let (set, _) = extend_contigs_locally(ctx, &contigs, &alignments, &lib, &params);
+                set.total_bases()
+            })
+        })
+    });
+}
+
 fn config() -> Criterion {
     Criterion::default().sample_size(10)
 }
@@ -314,6 +400,6 @@ fn config() -> Criterion {
 criterion_group! {
     name = benches;
     config = config();
-    targets = bench_dht_phases, bench_extraction_hot_loops, bench_compute_kernels, bench_read_store, bench_pipeline_stages
+    targets = bench_dht_phases, bench_extraction_hot_loops, bench_compute_kernels, bench_read_store, bench_pipeline_stages, bench_local_assembly
 }
 criterion_main!(benches);

@@ -4,7 +4,7 @@ use aligner::AlignParams;
 use dbg::{BubbleParams, KmerAnalysisParams, PruningParams, ThresholdPolicy, TraversalParams};
 use scaffolding::ScaffoldParams;
 
-use crate::local_assembly::LocalAssemblyParams;
+use crate::local_assembly::{LocalAssemblyParams, MAX_WALK_MER};
 
 /// Configuration of a MetaHipMer run.
 #[derive(Debug, Clone)]
@@ -189,6 +189,17 @@ impl AssemblyConfig {
                 "read_block_reads must be even and positive so paired mates always share a \
                  read-store block, got {}",
                 self.read_block_reads
+            ));
+        }
+        let local = &self.local;
+        if [local.mer_size, local.min_mer, local.max_mer]
+            .iter()
+            .any(|m| !(1..=MAX_WALK_MER).contains(m))
+        {
+            return Err(format!(
+                "local.mer_size, local.min_mer and local.max_mer must lie in 1..={MAX_WALK_MER}, \
+                 got {}, {} and {}",
+                local.mer_size, local.min_mer, local.max_mer
             ));
         }
         if self.ranks_per_node == 0 {
@@ -413,6 +424,16 @@ mod tests {
                     ..Default::default()
                 },
                 "ranks_per_node",
+            ),
+            (
+                AssemblyConfig {
+                    local: LocalAssemblyParams {
+                        max_mer: MAX_WALK_MER + 1,
+                        ..Default::default()
+                    },
+                    ..Default::default()
+                },
+                "local.max_mer",
             ),
         ];
         for (cfg, needle) in cases {
