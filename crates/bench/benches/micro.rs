@@ -227,12 +227,13 @@ fn bench_pipeline_stages(c: &mut Criterion) {
     let (reads, contigs) = dataset();
     let team = Team::single_node(4);
     c.bench_function("dbg/kmer_analysis_k21", |b| {
+        // The pipeline's default path: supermer routing with the singleton
+        // admission threshold.
         b.iter(|| {
             team.run(|ctx| {
                 let range = ctx.block_range(reads.len());
                 let params = KmerAnalysisParams {
                     k: 21,
-                    use_bloom: false,
                     ..Default::default()
                 };
                 kmer_analysis(ctx, &reads[range], &params).counts.len()

@@ -5,9 +5,9 @@
 //! packed struct — twice (once for Bloom admission, once for counting). The
 //! supermer path decomposes each read once into maximal same-minimizer runs
 //! and ships them as packed 2-bit sequence with a quality sidecar
-//! (~(s+k−1)/4 bytes per s k-mers) to minimizer-owned shards, where Bloom
-//! admission and counting both happen on the receive side of a single
-//! exchange.
+//! (~(s+k−1)/4 bytes per s k-mers) to minimizer-owned shards, which count
+//! exactly on the receive side of a single exchange and admit a k-mer by the
+//! threshold `count >= 2`, with no Bloom filter.
 //!
 //! This harness runs the same assembly twice — supermer routing off and on —
 //! and compares the *k-mer-analysis wire bytes* of the two runs. It exits

@@ -18,7 +18,9 @@ pub struct AssemblyConfig {
     pub k_step: usize,
     /// Minimum k-mer count ε.
     pub min_kmer_count: u32,
-    /// Use the Bloom-filter pre-pass during k-mer analysis.
+    /// Keep only k-mers seen at least twice in k-mer analysis. The per-k-mer
+    /// baseline decides this with a Bloom-filter pre-pass; the supermer path
+    /// counts exactly and raises the ε cutoff to `max(min_kmer_count, 2)`.
     pub use_bloom: bool,
     /// Route k-mer analysis by supermers to minimizer-owned shards (one
     /// extraction pass, one packed shipment per owner). `false` selects the

@@ -12,18 +12,20 @@
 //!   [`kmers::minimizer`]) which travel as packed 2-bit sequence with a
 //!   quality/extension sidecar, ~(s+k−1)/4 bytes per s k-mers. The counts
 //!   table is partitioned by minimizer ([`MinimizerPartitioner`]), so every
-//!   occurrence of a k-mer arrives at its owner and Bloom admission and exact
-//!   counting both happen on the receive side of a *single* exchange;
-//! * **Bloom-filter admission** admits a k-mer into the final counting table
-//!   only once it has (probably) been seen at least twice, so singleton error
-//!   k-mers never survive into the table downstream stages consume. (Unlike
-//!   the real UPC implementation, this reproduction keeps counting *exact*:
-//!   the per-k-mer path counts everything and filters afterwards, and the
-//!   supermer path parks first sightings in a side map until a second
-//!   occurrence arrives — so admission here shapes the communication and the
-//!   result, not the peak memory.) The filter is sized from an all-reduced
-//!   global k-mer estimate so shards stay correctly provisioned however
-//!   unevenly the reads are distributed.
+//!   occurrence of a k-mer arrives at its owner, which counts it exactly,
+//!   straight into its own shard, on the receive side of a *single* exchange;
+//! * **singleton admission** keeps a k-mer in the table downstream stages
+//!   consume only once it has been seen at least twice, so singleton error
+//!   k-mers never survive into it. The paper puts a Bloom filter in front of
+//!   the table for this; the per-k-mer path still runs that Bloom pass (sized
+//!   from an all-reduced global k-mer estimate so shards stay correctly
+//!   provisioned however unevenly the reads are distributed) and filters the
+//!   exact counts by it afterwards. The supermer path needs no filter: its
+//!   counts are exact, so admission is the threshold `count >= 2`, applied
+//!   with the ε cutoff once the stream ends. (Unlike the real UPC
+//!   implementation, this reproduction therefore holds every distinct k-mer
+//!   in the table until that cutoff — admission shapes the result, not the
+//!   peak memory; the cutoff gives the dropped entries' capacity back.)
 //!
 //! HipMer's heavy-hitter detection is not reproduced: counting is exact and
 //! the table is partitioned by minimizer, so no stage needs hot k-mers
@@ -34,11 +36,11 @@
 //! per-k-mer counting exchange). With `min_count >= 2` both paths produce an
 //! identical counts table — the `ablation_supermer` harness relies on this to
 //! measure the wire-byte saving with byte-identical assemblies. (With
-//! `min_count == 1` *and* the Bloom pre-pass enabled, the set of admitted
-//! singletons depends on Bloom false positives, which differ between the two
-//! partitionings.)
+//! `min_count == 1` *and* `use_bloom`, the per-k-mer path also keeps the
+//! singletons its Bloom filter falsely reports as seen; the supermer path
+//! keeps none.)
 
-use dht::{DistBloom, DistMap, FxHashMap, Partitioner};
+use dht::{DistBloom, DistMap, Partitioner};
 use kmers::minimizer::{
     encode_supermer, expand_supermer, kmer_minimizer, minimizer_shard, SupermerBlobIter,
     SupermerIter, MAX_MINIMIZER_LEN,
@@ -93,8 +95,10 @@ pub struct KmerAnalysisParams {
     pub min_count: u32,
     /// Phred threshold above which an extension base counts as high quality.
     pub hq_threshold: u8,
-    /// Whether to run the Bloom-filter admission (as a separate pre-pass in
-    /// the per-k-mer path, folded into the receive side in the supermer path).
+    /// Whether to keep only k-mers seen at least twice, whatever
+    /// `min_count` says. The per-k-mer path decides this with a Bloom-filter
+    /// pre-pass; the supermer path counts exactly and applies the threshold
+    /// `max(min_count, 2)`.
     pub use_bloom: bool,
     /// Aggregation batch size for the all-to-all exchanges (items for the
     /// per-k-mer path; multiplied by the packed k-mer size to obtain the
@@ -149,7 +153,7 @@ pub fn kmer_analysis(ctx: &Ctx, reads: &[Read], params: &KmerAnalysisParams) -> 
 /// time from owned packed blocks instead of living in a replicated slice.
 /// Collective: every rank must call with its own source. The result is
 /// independent of how reads are distributed over ranks (counts are global
-/// sums and Bloom admission triggers on the second occurrence wherever it
+/// sums and admission triggers on the second occurrence wherever it
 /// arrives), which is what keeps distributed-read assemblies byte-identical
 /// to the replicated baseline.
 pub fn kmer_analysis_from(
@@ -182,8 +186,9 @@ fn shared_bloom(ctx: &Ctx, local_estimate: usize) -> Arc<DistBloom> {
 }
 
 /// The supermer-routed single-pass analysis: one extraction pass per read,
-/// one aggregated shipment per owner, and all per-k-mer work (Bloom
-/// admission and exact counting) on the receive side.
+/// one aggregated shipment per owner, and all per-k-mer work (exact counting
+/// into the owner's shard, then the admission threshold) on the receive
+/// side.
 fn supermer_analysis(
     ctx: &Ctx,
     source: &mut dyn ReadSource,
@@ -194,9 +199,6 @@ fn supermer_analysis(
     let ranks = ctx.ranks();
     let counts: KmerCountsMap =
         ctx.share(|| DistMap::with_partitioner(ranks, Arc::new(MinimizerPartitioner::new(m))));
-    let bloom = params
-        .use_bloom
-        .then(|| shared_bloom(ctx, source.estimate_kmers(k)));
 
     // --- Send side: one streaming supermer pass over this rank's reads ------
     // The byte batch matches the per-k-mer path's message size (batch items of
@@ -217,46 +219,33 @@ fn supermer_analysis(
     });
     let blobs = agg.finish();
 
-    // --- Receive side: expansion, admission, counting ----------------------
-    // First sightings not yet admitted by the Bloom filter are parked here;
-    // they join the table when (if) a second occurrence arrives, so admitted
-    // k-mers keep their exact count including the first observation.
-    // Whatever is still parked at the end of the stream (singletons, bar
-    // Bloom false positives) is dropped, mirroring the per-k-mer path's
-    // retain-by-admission.
-    let mut parked: FxHashMap<Kmer, KmerCounts> = FxHashMap::default();
+    // --- Receive side: expansion and exact counting -------------------------
+    // Every occurrence of a k-mer arrives here, so the owner counts it
+    // exactly straight into its shard and admission is a plain threshold
+    // afterwards: with `use_bloom` a k-mer must have been seen at least twice,
+    // the rule the per-k-mer path's Bloom pass approximates.
+    let threshold = if params.use_bloom {
+        params.min_count.max(2)
+    } else {
+        params.min_count
+    };
     let rank = ctx.rank();
-    for blob in &blobs {
-        for record in SupermerBlobIter::new(blob) {
+    let mut shard = counts.local_view(ctx);
+    // By value, so each received blob is freed once it has been expanded.
+    for blob in blobs {
+        for record in SupermerBlobIter::new(&blob) {
             expand_supermer(&record, k, |obs| {
                 debug_assert_eq!(counts.owner_of(&obs.kmer), rank, "misrouted supermer");
                 let mut c = KmerCounts::default();
                 c.observe(obs.exts);
-                match &bloom {
-                    Some(bloom) => {
-                        if bloom.insert_and_check_shard(rank, &obs.kmer) {
-                            // Seen before (or a false positive): admitted.
-                            if let Some(mut held) = parked.remove(&obs.kmer) {
-                                held.merge(&c);
-                                c = held;
-                            }
-                            counts.merge_local(ctx, obs.kmer, c, |a, b| a.merge(&b));
-                        } else {
-                            parked
-                                .entry(obs.kmer)
-                                .and_modify(|held| held.merge(&c))
-                                .or_insert(c);
-                        }
-                    }
-                    None => counts.merge_local(ctx, obs.kmer, c, |a, b| a.merge(&b)),
-                }
+                shard.merge(obs.kmer, c, |a, b| a.merge(&b));
             });
         }
     }
-    drop(parked);
+    drop(shard);
     ctx.barrier();
 
-    counts.retain_local(ctx, |_, v| v.count >= params.min_count);
+    counts.retain_local(ctx, |_, v| v.count >= threshold);
     ctx.barrier();
 
     KmerAnalysis { counts }
@@ -438,6 +427,49 @@ mod tests {
             let (with_bloom, without_bloom) = (run(true), run(false));
             assert_eq!(with_bloom, without_bloom);
             assert_eq!(with_bloom, 21 - 11 + 1);
+        }
+
+        // With singletons in the input, the supermer path's admission is the
+        // exact rule: `use_bloom` at ε = 1 keeps precisely what ε = 2 keeps,
+        // down to counts and extension tallies, at every team width.
+        let reads = reads_from(&[
+            "ACGTACGGTTCAGGCATTACGGATCCAGTT",
+            "ACGTACGGTTCAGGCATTACGGATCCAGTT",
+            "TTGACCGGATNACCAGGTTCCAGGAACCTT",
+            "TTGACCGGATAACCAGGTTCCAGGAACCTT",
+            "GGGGGCCCCCAAAAATTTTTGGGGGCCCCC",
+            "CATGCATGCCGTAGGCTAGCTTAGCGGATA",
+        ]);
+        for ranks in 1..=8 {
+            let table = |use_bloom: bool, min_count: u32| {
+                let reads = &reads;
+                let mut all: Vec<(Kmer, KmerCounts)> = Team::single_node(ranks)
+                    .run(move |ctx| {
+                        let params = KmerAnalysisParams {
+                            k: 11,
+                            min_count,
+                            use_bloom,
+                            use_supermers: true,
+                            ..Default::default()
+                        };
+                        let res = kmer_analysis(ctx, my_slice(ctx, reads), &params);
+                        ctx.barrier();
+                        res.counts.local_entries(ctx)
+                    })
+                    .into_iter()
+                    .flatten()
+                    .collect();
+                all.sort_by_key(|a| a.0);
+                all
+            };
+            let admitted = table(true, 1);
+            assert!(!admitted.is_empty());
+            assert!(admitted.iter().all(|(_, c)| c.count >= 2));
+            assert!(
+                table(false, 1).len() > admitted.len(),
+                "the input must contain singletons"
+            );
+            assert_eq!(admitted, table(false, 2), "ranks={ranks}");
         }
     }
 

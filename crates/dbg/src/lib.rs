@@ -3,9 +3,10 @@
 //! This crate implements stages 1–4 (and 8) of MetaHipMer's iterative contig
 //! generation (Figure 1 of the paper):
 //!
-//! 1. [`analysis`] — **k-mer analysis** with distributed histograms, a
-//!    distributed Bloom filter to keep singleton (mostly erroneous) k-mers out
-//!    of the tables and high-quality extension counting (§II-B);
+//! 1. [`analysis`] — **k-mer analysis** with exact counting into owner
+//!    shards, singleton (mostly erroneous) k-mers kept out of the table by a
+//!    `count >= 2` threshold (a distributed Bloom filter on the per-k-mer
+//!    baseline path) and high-quality extension counting (§II-B);
 //! 2. [`graph`] — construction of the **distributed de Bruijn graph** hash
 //!    table, reducing extension counts to `[ACGT]/F/X` codes under either the
 //!    HipMer global threshold or the MetaHipMer depth-dependent threshold

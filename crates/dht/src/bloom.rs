@@ -71,12 +71,8 @@ impl DistBloom {
     }
 
     /// [`DistBloom::insert_and_check`] against an explicitly chosen shard,
-    /// without traffic accounting. This is the owner-side half of routed
-    /// phases: when the caller has already shipped the key to its owner rank
-    /// (e.g. supermer-routed k-mer analysis, where ownership follows the
-    /// minimizer rather than the filter's own hash), the owner checks its
-    /// local shard directly.
-    pub fn insert_and_check_shard<K: Hash>(&self, shard_idx: usize, key: &K) -> bool {
+    /// without traffic accounting.
+    fn insert_and_check_shard<K: Hash>(&self, shard_idx: usize, key: &K) -> bool {
         let shard = &self.shards[shard_idx];
         let mut all_set = true;
         for bit in self.probes(key) {

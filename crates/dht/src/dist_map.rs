@@ -12,6 +12,7 @@ use crate::fxhash::{fx_hash_one, FxHashMap};
 use crate::partition::{HashPartitioner, Partitioner};
 use parking_lot::Mutex;
 use pgas::{Aggregator, Ctx, RpcAggregator};
+use std::collections::hash_map::Entry;
 use std::hash::Hash;
 use std::sync::Arc;
 
@@ -233,11 +234,13 @@ where
         }
         for (owner, &count) in per_owner.iter().enumerate() {
             if count > 0 {
-                // Request leg: this rank sends the key batch to the owner.
-                ctx.record_message(owner, count * std::mem::size_of::<K>());
-                // Response leg: the values travel owner -> requester, so the
-                // message is attributed to the serving rank.
-                ctx.record_rpc_response_from(owner, count * std::mem::size_of::<Option<V>>());
+                // Request leg: this rank sends the key batch to the owner;
+                // response leg: the values travel owner -> requester.
+                ctx.record_onesided_get(
+                    owner,
+                    count * std::mem::size_of::<K>(),
+                    count * std::mem::size_of::<Option<V>>(),
+                );
             }
         }
         if !keys.is_empty() {
@@ -318,11 +321,12 @@ where
 
     /// A direct, random-access view of the calling rank's own shard: locks
     /// every sub-shard once and holds the guards for the view's lifetime, so
-    /// repeated [`LocalShardView::get`] probes pay neither `Ctx` accounting
-    /// nor per-access mutex churn. This is the keyed complement of
-    /// [`DistMap::for_each_local`] (use case 4), built for owner-local graph
-    /// algorithms such as the segment-compaction traversal that chase keys
-    /// around their own shard millions of times.
+    /// repeated [`LocalShardView::get`] probes and [`LocalShardView::merge`]
+    /// inserts pay neither `Ctx` accounting nor per-access mutex churn. This
+    /// is the keyed complement of [`DistMap::for_each_local`] (use case 4),
+    /// built for owner-local loops such as the segment-compaction traversal
+    /// and the supermer receive side that touch their own shard millions of
+    /// times.
     ///
     /// Only sound under the usual owner-local pattern: barrier, then every
     /// rank touches exclusively its own shard. While the view is alive, any
@@ -363,14 +367,19 @@ where
     }
 
     /// Keeps only the local entries satisfying the predicate; returns how many
-    /// were removed.
+    /// were removed. A sub-map that lost entries is shrunk to fit, so a
+    /// filter pass (e.g. dropping singleton k-mers after exact counting) also
+    /// gives back the capacity the dropped entries occupied.
     pub fn retain_local(&self, ctx: &Ctx, mut f: impl FnMut(&K, &mut V) -> bool) -> usize {
         let mut removed = 0usize;
         for sub in &self.shards[ctx.rank()].subs {
             let mut guard = sub.lock();
             let before = guard.len();
             guard.retain(|k, v| f(k, v));
-            removed += before - guard.len();
+            if guard.len() < before {
+                removed += before - guard.len();
+                guard.shrink_to_fit();
+            }
         }
         removed
     }
@@ -394,26 +403,6 @@ where
             .iter()
             .map(|m| m.lock().len())
             .sum()
-    }
-
-    /// Merges one `(key, value)` known to be owned by the calling rank into
-    /// its local shard — the streaming receive side of a routed exchange
-    /// (e.g. owner-side supermer expansion). No traffic is recorded: the
-    /// shipment that delivered the key was already accounted by its exchange.
-    pub fn merge_local(&self, ctx: &Ctx, key: K, value: V, merge: impl FnOnce(&mut V, V)) {
-        debug_assert_eq!(
-            self.owner_of(&key),
-            ctx.rank(),
-            "merge_local on a key this rank does not own"
-        );
-        let sub = sub_of(&key);
-        let mut guard = self.shards[ctx.rank()].subs[sub].lock();
-        match guard.get_mut(&key) {
-            Some(existing) => merge(existing, value),
-            None => {
-                guard.insert(key, value);
-            }
-        }
     }
 
     /// Applies a batch of `(key, value)` items that are already known to be
@@ -479,6 +468,22 @@ where
     /// True if the viewed shard is empty.
     pub fn is_empty(&self) -> bool {
         self.subs.iter().all(|m| m.is_empty())
+    }
+
+    /// Inserts `value` under `key`, or folds it into the present entry with
+    /// `merge`: the streaming receive side of a routed exchange (e.g.
+    /// owner-side supermer expansion), one hash-map entry lookup per item
+    /// and no lock, no `Ctx` accounting — the shipment that delivered the
+    /// key was already accounted by its exchange. The key must be owned by
+    /// the viewing rank, as for [`LocalShardView::get`].
+    #[inline]
+    pub fn merge(&mut self, key: K, value: V, merge: impl FnOnce(&mut V, V)) {
+        match self.subs[sub_of(&key)].entry(key) {
+            Entry::Occupied(mut e) => merge(e.get_mut(), value),
+            Entry::Vacant(e) => {
+                e.insert(value);
+            }
+        }
     }
 }
 
@@ -697,6 +702,30 @@ mod tests {
         });
     }
 
+    #[test]
+    fn one_sided_gets_across_nodes_count_as_onesided_off_node_msgs() {
+        // 4 ranks, 2 per node: rank 0 reads one key from each owner.
+        let team = Team::new(pgas::Topology::new(4, 2));
+        team.run(|ctx| {
+            let map: Arc<DistMap<u64, u64>> =
+                ctx.share(|| DistMap::with_partitioner(ctx.ranks(), Arc::new(ModuloPartitioner)));
+            bulk_merge(ctx, &map, (0..4u64).map(|k| (k, k)), 16, |a, b| *a += b);
+            ctx.barrier();
+            if ctx.rank() == 0 {
+                let _ = map.get_many_onesided(ctx, &[0, 1, 2, 3]);
+            }
+        });
+        // Owners 2 and 3 sit on the other node: a request and a response
+        // leg each; the on-node owners 0 and 1 add none.
+        let total = team.stats_total();
+        assert_eq!(total.onesided_off_node_msgs, 4);
+        assert!(total.onesided_off_node_msgs <= total.off_node_msgs);
+        assert_eq!(team.stats(0).snapshot().onesided_off_node_msgs, 2);
+        for serving in [2, 3] {
+            assert_eq!(team.stats(serving).snapshot().onesided_off_node_msgs, 1);
+        }
+    }
+
     /// Owner = key % ranks: a deliberately non-hash partitioner.
     struct ModuloPartitioner;
     impl crate::partition::Partitioner<u64> for ModuloPartitioner {
@@ -774,6 +803,44 @@ mod tests {
                 assert!(map.is_empty());
             }
         });
+    }
+
+    #[test]
+    fn local_view_merge_folds_duplicates_and_survives_the_view() {
+        let team = Team::single_node(3);
+        let kept = team.run(|ctx| {
+            let map: Arc<DistMap<u64, u64>> = DistMap::shared(ctx);
+            // Every rank streams each key k of 0..60 it owns three times
+            // (values k, 2k, 3k) through its own view.
+            let mine: Vec<u64> = (0..60u64)
+                .filter(|k| map.owner_of(k) == ctx.rank())
+                .collect();
+            {
+                let mut view = map.local_view(ctx);
+                for round in 1..=3u64 {
+                    for &k in &mine {
+                        view.merge(k, k * round, |a, b| *a += b);
+                    }
+                }
+                assert_eq!(view.len(), mine.len());
+            }
+            ctx.barrier();
+            assert_eq!(map.local_len(ctx), mine.len());
+            for k in 0..60u64 {
+                assert_eq!(map.get_cloned(ctx, &k), Some(6 * k));
+            }
+            ctx.barrier();
+            let removed = map.retain_local(ctx, |_, v| *v >= 120);
+            assert_eq!(removed, mine.iter().filter(|&&k| 6 * k < 120).count());
+            ctx.barrier();
+            let mut local: Vec<(u64, u64)> = map.local_entries(ctx);
+            local.sort_unstable();
+            local
+        });
+        let mut all: Vec<(u64, u64)> = kept.into_iter().flatten().collect();
+        all.sort_unstable();
+        let expected: Vec<(u64, u64)> = (20..60u64).map(|k| (k, 6 * k)).collect();
+        assert_eq!(all, expected);
     }
 
     #[test]

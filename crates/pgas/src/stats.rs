@@ -91,6 +91,11 @@ comm_counters! {
     /// Aggregated messages that crossed a node boundary — the interconnect
     /// injection count the two-level exchange reduces.
     off_node_msgs,
+    /// The subset of `off_node_msgs` sent point to point by one-sided
+    /// aggregated reads (one request and one response leg per contacted
+    /// owner): traffic node-leader routing cannot batch, because it never
+    /// passes through a collective exchange.
+    onesided_off_node_msgs,
     /// Fine-grained operations that targeted data owned by a rank on another
     /// simulated node.
     remote_ops,

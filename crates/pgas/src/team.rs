@@ -631,12 +631,31 @@ impl<'t> Ctx<'t> {
             .fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
+    /// Records one *one-sided* aggregated read against `owner`: a request
+    /// message of `request_bytes` from this rank and a response message of
+    /// `response_bytes` back, attributed to the serving rank (this rank's
+    /// thread performs the transfer the owner's network interface would).
+    /// When the owner sits on another node, both legs also count as
+    /// `onesided_off_node_msgs`, each on the rank that sent it.
+    pub fn record_onesided_get(&self, owner: usize, request_bytes: usize, response_bytes: usize) {
+        self.record_message(owner, request_bytes);
+        self.record_rpc_response_from(owner, response_bytes);
+        if !self.team.topo.same_node(self.rank, owner) {
+            self.stats()
+                .onesided_off_node_msgs
+                .fetch_add(1, Ordering::Relaxed);
+            self.team.stats[owner]
+                .onesided_off_node_msgs
+                .fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     /// Records the response leg of a *one-sided* aggregated read: the payload
     /// travels from `src` to this rank, but this rank's thread performs the
     /// transfer the owner's network interface would. The message (and its
     /// response bytes) are therefore attributed to the serving rank `src`,
     /// keeping per-rank traffic breakdowns faithful.
-    pub fn record_rpc_response_from(&self, src: usize, bytes: usize) {
+    fn record_rpc_response_from(&self, src: usize, bytes: usize) {
         let s = &self.team.stats[src];
         s.msgs_sent.fetch_add(1, Ordering::Relaxed);
         s.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);

@@ -202,6 +202,7 @@ pub fn lint_source(path: &str, src: &str) -> Vec<Finding> {
         }
         if phase.is_none() && code.contains(".local_view(") {
             if let Some(rest) = code.trim_start().strip_prefix("let ") {
+                let rest = rest.strip_prefix("mut ").unwrap_or(rest);
                 let name: String = rest
                     .chars()
                     .take_while(|&c| c == '_' || c.is_ascii_alphanumeric())
@@ -361,8 +362,14 @@ mod tests {
                               }\n\
                               ctx.barrier();\n\
                           }\n";
+        let mutable = "fn f(ctx: &Ctx, map: &DistMap<u64, u64>) {\n\
+                           let mut view = map.local_view(ctx);\n\
+                           drop(view);\n\
+                           ctx.barrier();\n\
+                       }\n";
         assert_eq!(rules("crates/core/src/x.rs", with_drop), [] as [&str; 0]);
         assert_eq!(rules("crates/core/src/x.rs", with_scope), [] as [&str; 0]);
+        assert_eq!(rules("crates/core/src/x.rs", mutable), [] as [&str; 0]);
     }
 
     #[test]
